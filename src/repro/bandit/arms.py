@@ -16,6 +16,8 @@ including across a pickle boundary — with bit-identical results.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.bandit.tangent import tangent_lower_bound
@@ -42,16 +44,7 @@ class TransformationArm:
     test_x, test_y:
         Test split; embedded once, up front (test sets are small).
     metric:
-        Distance metric for the 1NN evaluator.
-    knn_backend:
-        Search backend for the 1NN evaluator, resolved through
-        :func:`repro.knn.base.make_index`; ``None`` keeps the built-in
-        exact pairwise scan.  Append-capable ANN backends ("ivf_pq")
-        persist across pulls — each pull's chunk is encoded into the
-        compressed index instead of rebuilding one.
-    knn_backend_options:
-        Extra backend constructor kwargs (e.g. ``pq_m``, ``pq_nbits``,
-        ``nprobe``, ``rerank`` for "ivf_pq").
+        Distance metric for the exact streamed 1NN evaluator.
     store:
         Optional shared :class:`EmbeddingStore`; when given, every chunk
         embedding is memoized, so sibling runs (another strategy, a
@@ -68,11 +61,9 @@ class TransformationArm:
         stochastic arm step must use this stream (never a shared
         generator) so results stay independent of the execution
         schedule.
-    scan_executor:
-        Optional :class:`~repro.core.engine.ShardedScanExecutor`
-        forwarded to the evaluator's sharded inverted-list backend.
-        Process-local (never picklable), so it is only set when arms
-        run on the serial/thread execution backends.
+
+    Non-finite embeddings (test set or any pulled chunk) raise
+    :class:`DataValidationError` naming the transform that produced them.
     """
 
     def __init__(
@@ -83,12 +74,9 @@ class TransformationArm:
         test_x: np.ndarray,
         test_y: np.ndarray,
         metric: str = "euclidean",
-        knn_backend: str | None = None,
-        knn_backend_options: dict | None = None,
         store: EmbeddingStore | None = None,
         dtype=None,
         seed: SeedLike = None,
-        scan_executor=None,
     ):
         if not transform.fitted:
             raise DataValidationError(
@@ -105,15 +93,10 @@ class TransformationArm:
         embedded_test = embed_or_transform(
             store, transform, np.asarray(test_x, dtype=np.float64)
         )
-        self.evaluator = ProgressiveOneNN(
-            embedded_test,
-            test_y,
-            metric=metric,
-            knn_backend=knn_backend,
-            knn_backend_options=knn_backend_options,
-            dtype=dtype,
-            scan_executor=scan_executor,
-        )
+        with self._naming_transform():
+            self.evaluator = ProgressiveOneNN(
+                embedded_test, test_y, metric=metric, dtype=dtype
+            )
         self.sim_cost = transform.inference_cost(len(test_y))
         self.losses: list[float] = []
         self.pull_sizes: list[int] = []
@@ -162,7 +145,10 @@ class TransformationArm:
         stop = min(start + num_samples, len(self._train_x))
         if stop > start:
             chunk_x = self._embed_chunk(start, stop)
-            loss = self.evaluator.partial_fit(chunk_x, self._train_y[start:stop])
+            with self._naming_transform():
+                loss = self.evaluator.partial_fit(
+                    chunk_x, self._train_y[start:stop]
+                )
             self.sim_cost += self.transform.inference_cost(stop - start)
         else:
             loss = self.current_loss
@@ -251,6 +237,16 @@ class TransformationArm:
                 )
             self._train_x = resolved
 
+    @contextmanager
+    def _naming_transform(self):
+        """Prefix evaluator validation errors with this arm's transform."""
+        try:
+            yield
+        except DataValidationError as exc:
+            raise DataValidationError(
+                f"arm {self.transform.name!r}: {exc}"
+            ) from exc
+
     def _embed_chunk(self, start: int, stop: int) -> np.ndarray:
         if self.store is not None:
             return self.store.embed_rows(
@@ -264,11 +260,8 @@ def build_arms(
     dataset,
     metric: str = "euclidean",
     rng: SeedLike = None,
-    knn_backend: str | None = None,
-    knn_backend_options: dict | None = None,
     store: EmbeddingStore | None = None,
     dtype=None,
-    scan_executor=None,
 ) -> list[TransformationArm]:
     """Fit each transform on the training split and wrap it in an arm.
 
@@ -292,11 +285,8 @@ def build_arms(
                 dataset.test_x,
                 dataset.test_y,
                 metric=metric,
-                knn_backend=knn_backend,
-                knn_backend_options=knn_backend_options,
                 store=store,
                 dtype=dtype,
-                scan_executor=scan_executor,
             )
         )
     return arms

@@ -24,11 +24,8 @@ error estimate in the paper:
 - :mod:`repro.knn.kmeans` / :mod:`repro.knn.ivf` — the coarse quantizer
   and inverted-file index (backend "ivf") behind the accelerator-style
   approximate search the paper cites for scaling; its search paths are
-  fully vectorized.
-- :mod:`repro.knn.pq` — product quantization (backend "ivf_pq"): uint8
-  codes, ADC lookup tables, residual-encoded inverted lists and exact
-  re-ranking through the distance kernels — the compressed search tier
-  for corpora that outgrow the flat indexes.
+  fully vectorized.  It serves standalone queries (``OneNNEstimator``,
+  the estimator zoo); the feasibility study's streamed 1NN is exact.
 """
 
 from repro.knn.base import (
@@ -57,7 +54,6 @@ from repro.knn.metrics import (
     euclidean_distances,
     pairwise_distances,
 )
-from repro.knn.pq import IVFPQIndex, ProductQuantizer
 from repro.knn.progressive import CurvePoint, ProgressiveOneNN
 
 __all__ = [
@@ -69,12 +65,10 @@ __all__ = [
     "DistanceKernel",
     "EuclideanKernel",
     "IVFFlatIndex",
-    "IVFPQIndex",
     "IncrementalKNNIndex",
     "KMeans",
     "KNNIndex",
     "NeighborCache",
-    "ProductQuantizer",
     "ProgressiveOneNN",
     "available_backends",
     "blocked_argmin_distance",

@@ -31,8 +31,8 @@ throughput from:
 
 Internally the kernels compare *comparable* values — squared distances
 for euclidean, the dissimilarity itself for cosine — which order
-identically to true distances.  :meth:`DistanceKernel.to_distance` /
-:meth:`DistanceKernel.from_distance` convert at the boundary.
+identically to true distances.  :meth:`DistanceKernel.to_distance`
+converts at the boundary.
 """
 
 from __future__ import annotations
@@ -150,10 +150,6 @@ class DistanceKernel(ABC):
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         """Map comparable values to true distances (new float64 array)."""
 
-    @abstractmethod
-    def from_distance(self, distance: np.ndarray) -> np.ndarray:
-        """Map true distances to comparable values in the compute dtype."""
-
     def _cast_other(self, other: np.ndarray) -> np.ndarray:
         other = np.asarray(other, dtype=self._dtype)
         if other.ndim != 2:
@@ -214,83 +210,6 @@ class DistanceKernel(ABC):
             best_cmp[improved] = local_cmp[improved]
             best_idx[improved] = local[improved] + block.start
         return best_idx, best_cmp
-
-    def extend(self, bound: np.ndarray) -> "DistanceKernel":
-        """A kernel over ``bound``, reusing this kernel's cached state.
-
-        ``bound`` must contain this kernel's bound rows as its prefix
-        (the append-only corpus case): per-row state is computed for
-        the appended suffix only, so extending costs O(appended)
-        instead of the O(total) a fresh bind would pay.  Per-row state
-        is independent across rows, so the result is identical to
-        binding ``bound`` from scratch.
-        """
-        bound = np.asarray(bound, dtype=self._dtype)
-        if bound.ndim != 2 or bound.shape[1] != self.dim:
-            raise DataValidationError(
-                f"extended bound must be 2-D with {self.dim} columns, "
-                f"got shape {bound.shape}"
-            )
-        if len(bound) < self.num_bound:
-            raise DataValidationError(
-                f"extended bound has {len(bound)} rows, fewer than the "
-                f"{self.num_bound} already bound"
-            )
-        extended = object.__new__(type(self))
-        extended._dtype = self._dtype
-        extended._bound = bound
-        suffix_state = self._state(bound[self.num_bound :])
-        extended._bound_state = _concat_state(
-            self._bound_state, suffix_state
-        )
-        return extended
-
-    def pair_comparable(
-        self, queries: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Comparable distances for explicit (query, bound-row) pairs.
-
-        ``indices`` has shape ``(len(queries), t)``; entry ``[i, j]`` is
-        a bound-row index, and the result ``[i, j]`` is the comparable
-        distance between query ``i`` and that bound row.  This is the
-        re-ranking primitive of the approximate indexes: a candidate
-        shortlist (one row set per query) is verified exactly without
-        ever forming a full query-by-corpus block.  The arithmetic is
-        the kernel's own (same cached bound state, same expansion), so
-        the values are exactly what :meth:`topk` would report for the
-        same pairs up to BLAS summation order.
-        """
-        queries = self._cast_other(queries)
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 2 or len(indices) != len(queries):
-            raise DataValidationError(
-                f"indices must be 2-D with one row per query, got shape "
-                f"{indices.shape} for {len(queries)} queries"
-            )
-        if len(indices) and indices.size:
-            if indices.min() < 0 or indices.max() >= self.num_bound:
-                raise DataValidationError(
-                    f"pair indices out of range for {self.num_bound} "
-                    f"bound rows"
-                )
-        state = self._state(queries)
-        rows = self._bound[indices]
-        row_state = _slice_state(self._bound_state, indices)
-        return self._pair(queries, state, rows, row_state)
-
-    def pair_distances(
-        self, queries: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """True distances for explicit pairs (float64); see pair_comparable."""
-        return self.to_distance(self.pair_comparable(queries, indices))
-
-    @abstractmethod
-    def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
-        """Comparable distances between ``a[i]`` and each of ``rows[i]``.
-
-        ``rows`` has shape ``(n, t, d)`` (gathered bound rows) and
-        ``row_state`` is the bound state gathered the same way.
-        """
 
     def topk(
         self,
@@ -364,21 +283,8 @@ class EuclideanKernel(DistanceKernel):
         np.maximum(sq, self._dtype.type(0.0), out=sq)
         return sq
 
-    def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
-        two = self._dtype.type(2.0)
-        # Batched matvec (BLAS) rather than einsum: one gemv per query
-        # row against its gathered candidate block.
-        dots = (rows @ a[:, :, None])[:, :, 0]
-        sq = a_state[:, None] + row_state - two * dots
-        np.maximum(sq, self._dtype.type(0.0), out=sq)
-        return sq
-
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         return np.sqrt(comparable, dtype=np.float64)
-
-    def from_distance(self, distance: np.ndarray) -> np.ndarray:
-        distance = np.asarray(distance, dtype=self._dtype)
-        return distance * distance
 
 
 class CosineKernel(DistanceKernel):
@@ -405,20 +311,8 @@ class CosineKernel(DistanceKernel):
         sim[:, b_zero] = 0.0
         return self._dtype.type(1.0) - sim
 
-    def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
-        a_unit, a_zero = a_state
-        row_unit, row_zero = row_state
-        sim = (row_unit @ a_unit[:, :, None])[:, :, 0]
-        np.clip(sim, self._dtype.type(-1.0), self._dtype.type(1.0), out=sim)
-        sim[a_zero, :] = 0.0
-        sim[row_zero] = 0.0
-        return self._dtype.type(1.0) - sim
-
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         return np.asarray(comparable, dtype=np.float64).copy()
-
-    def from_distance(self, distance: np.ndarray) -> np.ndarray:
-        return np.asarray(distance, dtype=self._dtype).copy()
 
 
 _KERNELS = {
@@ -450,11 +344,3 @@ def _slice_state(state, block: slice):
         return tuple(part[block] for part in state)
     return state[block]
 
-
-def _concat_state(state, suffix):
-    """Concatenate per-row state along the row axis (tuple-aware)."""
-    if isinstance(state, tuple):
-        return tuple(
-            np.concatenate((part, more)) for part, more in zip(state, suffix)
-        )
-    return np.concatenate((state, suffix))

@@ -22,6 +22,18 @@ distances.  ``dtype`` selects the compute precision; the default
 ``float64`` reproduces the historical results bit-for-bit, while
 ``float32`` roughly doubles throughput (see
 ``benchmarks/test_progressive_throughput.py``).
+
+This exact stream is the study's only search path.  A persistent ANN
+index would have to re-query the whole growing corpus on every batch;
+at the study's shape (20 pulls into a fixed test set) that measured
+slower than the exact min-merge, and where approximate search missed
+true neighbors its error curve fell below the exact 1NN error, biasing
+the Bayes-error estimate optimistically.
+
+Non-finite features are rejected with :class:`DataValidationError`:
+a single NaN coordinate makes every distance to its row NaN, and the
+min-merge would then silently leave test points without a neighbor,
+driving the error toward 1.0.
 """
 
 from __future__ import annotations
@@ -31,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
 from repro.knn.kernels import make_kernel
 
 
@@ -55,36 +66,10 @@ class ProgressiveOneNN:
     record_curve:
         When True (default), every :meth:`partial_fit` appends a
         :class:`CurvePoint` to :attr:`curve`.
-    knn_backend:
-        ``None`` (default) uses the built-in bound distance kernel per
-        batch.  Otherwise a backend name for
-        :func:`repro.knn.base.make_index` ("brute_force", "ivf",
-        "ivf_pq", ...): the per-test nearest neighbor comes from 1NN
-        queries against that backend, making the search substrate
-        swappable.  Backends advertising ``supports_progressive_append``
-        (the compressed "ivf_pq" index) are built **once** and fed each
-        batch via ``partial_fit`` — encode-on-append into the coarse
-        lists, codebooks refreshed by the index's own policy — so the
-        corpus stays compressed across the whole stream; other backends
-        are rebuilt per batch (exact per-batch search, which at typical
-        bandit pull sizes is the fastest option).
-    knn_backend_options:
-        Extra constructor kwargs for the backend (e.g. ``pq_m``,
-        ``pq_nbits``, ``nprobe``, ``rerank``, ``pq_packed``,
-        ``shards`` for "ivf_pq").
     dtype:
         Compute dtype for the distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``
         path.
-    scan_executor:
-        Optional :class:`~repro.core.engine.ShardedScanExecutor`
-        forwarded to sharded inverted-list backends ("ivf"/"ivf_pq")
-        so their probe scans run on its process pool.  Passed as a
-        separate parameter — not inside ``knn_backend_options`` —
-        because the executor is process-local (never pickled with the
-        options).  ``partial_fit`` appends interact cleanly with the
-        executor: the index routes each appended point to the owning
-        shard and republishes only the touched shard payloads.
     """
 
     def __init__(
@@ -93,10 +78,7 @@ class ProgressiveOneNN:
         test_y: np.ndarray,
         metric: str = "euclidean",
         record_curve: bool = True,
-        knn_backend: str | None = None,
-        knn_backend_options: dict | None = None,
         dtype=None,
-        scan_executor=None,
     ):
         # np.array (not asarray): the evaluator owns private copies, so
         # relabel_test can never write through to the caller's arrays.
@@ -111,29 +93,11 @@ class ProgressiveOneNN:
             )
         if len(test_x) == 0:
             raise DataValidationError("test set must not be empty")
+        _require_finite(test_x, "test_x")
         self.metric = metric
         self.record_curve = record_curve
-        self.knn_backend = knn_backend
-        self.knn_backend_options = dict(knn_backend_options or {})
         self.dtype = dtype
-        self._scan_executor = scan_executor
         self._kernel = make_kernel(metric, test_x, dtype=dtype)
-        self._index = None
-        self._index_y: np.ndarray | None = None
-        if knn_backend is not None:
-            # Built eagerly so an unknown backend, an unsupported
-            # backend/metric pair or a bad option fails here, not
-            # mid-stream at the first partial_fit.  Append-capable ANN
-            # backends keep this one instance for the whole stream.
-            index = make_index(
-                knn_backend,
-                metric=metric,
-                dtype=dtype,
-                **self._index_options(),
-            )
-            if index.supports_progressive_append:
-                self._index = index
-                self._index_y = np.empty(0, dtype=np.int64)
         self._test_x = self._kernel.bound
         self._test_y = test_y
         # Nearest-neighbor state in *comparable* units (squared
@@ -145,20 +109,6 @@ class ProgressiveOneNN:
         self._nn_index = np.full(len(test_x), -1, dtype=np.int64)
         self._train_seen = 0
         self.curve: list[CurvePoint] = []
-
-    def _index_options(self) -> dict:
-        """Backend constructor kwargs, with the scan executor injected.
-
-        The executor (and its bound store, for zero-copy shard
-        payloads) rides outside ``knn_backend_options`` so the options
-        mapping stays picklable for process-mode arm specs.
-        """
-        options = dict(self.knn_backend_options)
-        if self._scan_executor is not None:
-            options["scan_executor"] = self._scan_executor
-            if self._scan_executor.store is not None:
-                options.setdefault("store", self._scan_executor.store)
-        return options
 
     @property
     def test_size(self) -> int:
@@ -199,51 +149,12 @@ class ProgressiveOneNN:
                 f"{len(batch_x)} vs {len(batch_y)}"
             )
         if len(batch_x) > 0:
-            if self.knn_backend is None:
-                local, local_cmp = self._kernel.nearest_among(batch_x)
-                labels = batch_y[local]
-                global_idx = local + self._train_seen
-            elif self._index is not None:
-                # Persistent ANN backend: append the batch (encode-on-
-                # append for ivf_pq) and re-query the whole compressed
-                # corpus — sublinear in the corpus, and indices come
-                # back in global train positions already.
-                if self._index.num_fitted == 0:
-                    self._index.fit(batch_x, batch_y)
-                else:
-                    self._index.partial_fit(batch_x, batch_y)
-                self._index_y = np.concatenate((self._index_y, batch_y))
-                nn_dist, nn_idx = self._index.kneighbors(self._test_x, k=1)
-                global_idx = nn_idx[:, 0]
-                local_cmp = self._kernel.from_distance(nn_dist[:, 0])
-                labels = self._index_y[global_idx]
-            else:
-                index = make_index(
-                    self.knn_backend,
-                    metric=self.metric,
-                    dtype=self.dtype,
-                    **self._index_options(),
-                )
-                index.fit(batch_x, batch_y)
-                nn_dist, nn_idx = index.kneighbors(self._test_x, k=1)
-                local = nn_idx[:, 0]
-                local_cmp = self._kernel.from_distance(nn_dist[:, 0])
-                labels = batch_y[local]
-                global_idx = local + self._train_seen
-            if self._index is not None and not getattr(
-                self._index, "exact_distances", True
-            ):
-                # Estimated distances (ivf_pq with rerank=0) are not
-                # comparable across codebook refreshes — min-merging
-                # against a stale underestimate would pin a neighbor
-                # the index no longer returns.  Each persistent-path
-                # query is already corpus-wide, so replace wholesale.
-                improved = np.ones(len(local_cmp), dtype=bool)
-            else:
-                improved = local_cmp < self._nn_cmp
+            _require_finite(batch_x, "batch_x")
+            local, local_cmp = self._kernel.nearest_among(batch_x)
+            improved = local_cmp < self._nn_cmp
             self._nn_cmp[improved] = local_cmp[improved]
-            self._nn_label[improved] = labels[improved]
-            self._nn_index[improved] = global_idx[improved]
+            self._nn_label[improved] = batch_y[local][improved]
+            self._nn_index[improved] = local[improved] + self._train_seen
             self._train_seen += len(batch_x)
         err = self.error()
         if self.record_curve:
@@ -273,15 +184,6 @@ class ProgressiveOneNN:
             raise DataValidationError("indices and new_labels length mismatch")
         if len(indices) == 0:
             return
-        if self._index_y is not None:
-            # The persistent ANN path re-queries the whole corpus on
-            # every batch and labels hits from _index_y, so corrections
-            # must land there too or a later batch would resurrect the
-            # stale label.  In-range writes in given order: among
-            # duplicate corrections the last one wins, matching the
-            # remap below.
-            in_range = indices < len(self._index_y)
-            self._index_y[indices[in_range]] = new_labels[in_range]
         order = np.argsort(indices, kind="stable")
         sorted_idx = indices[order]
         sorted_labels = new_labels[order]
@@ -311,3 +213,14 @@ class ProgressiveOneNN:
         sizes = np.array([p.train_size for p in self.curve], dtype=np.int64)
         errors = np.array([p.error for p in self.curve])
         return sizes, errors
+
+
+def _require_finite(x: np.ndarray, name: str) -> None:
+    """Raise if ``x`` holds a NaN or infinite value (names the row)."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[0])
+        raise DataValidationError(
+            f"{name} contains non-finite values (first at row {row}); "
+            "a NaN or inf embedding would silently corrupt the 1NN error"
+        )

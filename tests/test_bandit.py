@@ -87,6 +87,37 @@ class TestArms:
                 dataset.test_x, dataset.test_y,
             )
 
+    def test_non_finite_embedding_names_the_transform(self, dataset):
+        from repro.transforms.linear import IdentityTransform
+
+        class PoisonedTransform(IdentityTransform):
+            poison = False
+
+            def transform(self, x):
+                out = np.array(super().transform(x))
+                if self.poison:
+                    out[len(out) // 2, 0] = np.nan
+                return out
+
+        transform = PoisonedTransform(dataset.train_x.shape[1]).fit(
+            dataset.train_x
+        )
+        transform.name = "poisoned"
+        arm = TransformationArm(
+            transform, dataset.train_x, dataset.train_y,
+            dataset.test_x, dataset.test_y,
+        )
+        arm.pull(20)
+        transform.poison = True
+        with pytest.raises(DataValidationError, match="'poisoned'.*non-finite"):
+            arm.pull(20)
+        assert arm.samples_used == 20
+        with pytest.raises(DataValidationError, match="'poisoned'.*test_x"):
+            TransformationArm(
+                transform, dataset.train_x, dataset.train_y,
+                dataset.test_x, dataset.test_y,
+            )
+
     def test_current_loss_before_pull_is_inf(self, arms):
         assert arms[0].current_loss == np.inf
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.estimators.cover_hart import OneNNEstimator
 from repro.estimators.knn_loo import KNNLooEstimator
-from repro.exceptions import DataValidationError
+from repro.exceptions import DataValidationError, UnknownBackendError
 from repro.knn import (
     BruteForceKNN,
     IncrementalKNNIndex,
@@ -40,6 +40,17 @@ class TestFactory:
     def test_unknown_backend_raises(self):
         with pytest.raises(DataValidationError, match="unknown"):
             make_index("faiss")
+
+    def test_unknown_backend_error_names_backends(self):
+        assert available_backends() == ("brute_force", "incremental", "ivf")
+        with pytest.raises(UnknownBackendError) as excinfo:
+            make_index("annoy")
+        message = str(excinfo.value)
+        assert "annoy" in message
+        for name in available_backends():
+            assert name in message
+        # Back-compat: still catchable as a validation error.
+        assert isinstance(excinfo.value, DataValidationError)
 
     def test_ivf_rejects_cosine(self):
         with pytest.raises(DataValidationError, match="euclidean"):
@@ -131,31 +142,6 @@ class TestMajorityVote:
 
 
 class TestSwappableBackends:
-    def test_progressive_brute_force_backend_matches_builtin(self, rng):
-        test_x = rng.normal(size=(25, 4))
-        test_y = rng.integers(0, 3, 25)
-        builtin = ProgressiveOneNN(test_x, test_y)
-        swapped = ProgressiveOneNN(test_x, test_y, knn_backend="brute_force")
-        for _ in range(4):
-            batch_x = rng.normal(size=(20, 4))
-            batch_y = rng.integers(0, 3, 20)
-            assert swapped.partial_fit(batch_x, batch_y) == builtin.partial_fit(
-                batch_x, batch_y
-            )
-        np.testing.assert_array_equal(
-            swapped.nearest_indices, builtin.nearest_indices
-        )
-
-    def test_progressive_invalid_backend_fails_at_construction(self, rng):
-        test_x = rng.normal(size=(5, 2))
-        test_y = rng.integers(0, 2, 5)
-        with pytest.raises(DataValidationError, match="unknown"):
-            ProgressiveOneNN(test_x, test_y, knn_backend="faiss")
-        with pytest.raises(DataValidationError, match="euclidean"):
-            ProgressiveOneNN(
-                test_x, test_y, metric="cosine", knn_backend="ivf"
-            )
-
     def test_one_nn_estimator_ivf_backend(self, dataset):
         exact = OneNNEstimator().estimate(
             dataset.train_x, dataset.train_y,
@@ -175,16 +161,3 @@ class TestSwappableBackends:
                 dataset.train_x, dataset.train_y,
                 dataset.test_x, dataset.test_y, dataset.num_classes,
             )
-
-    def test_snoopy_config_accepts_backend(self, dataset, catalog):
-        from repro.core.snoopy import Snoopy, SnoopyConfig
-
-        config = SnoopyConfig(
-            strategy="uniform",
-            budget=240,
-            pull_size=60,
-            knn_backend="brute_force",
-            extrapolate=False,
-        )
-        report = Snoopy(catalog, config).run(dataset, target_accuracy=0.9)
-        assert report.per_transform

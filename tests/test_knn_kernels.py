@@ -128,16 +128,6 @@ class TestFusedPrimitives:
         # A zero query is at distance 1 from everything.
         np.testing.assert_allclose(dist[1], 1.0)
 
-    def test_from_distance_roundtrip(self, rng):
-        x = rng.normal(size=(8, 3))
-        for metric in ("euclidean", "cosine"):
-            kernel = make_kernel(metric, x, dtype=None)
-            dist = np.abs(rng.normal(size=5))
-            np.testing.assert_allclose(
-                kernel.to_distance(kernel.from_distance(dist)), dist,
-                rtol=1e-12,
-            )
-
 
 def _legacy_blocked_topk(queries, corpus, k, metric, block_size, exclude_self):
     """The historical blocked_topk, verbatim: full sqrt'd distance blocks."""
@@ -375,28 +365,3 @@ class TestKernelCaching:
         assert kernel is not None
         index.kneighbors(rng.normal(size=(2, 3)))
         assert index._kernel_cache is kernel
-
-
-class TestKernelExtend:
-    def test_extend_matches_fresh_bind(self, rng):
-        for metric in ("euclidean", "cosine"):
-            for dtype in ("float32", "float64"):
-                rows = rng.normal(size=(120, 9))
-                base = make_kernel(metric, rows[:80], dtype=dtype)
-                extended = base.extend(rows)
-                fresh = make_kernel(metric, rows, dtype=dtype)
-                queries = rng.normal(size=(15, 9))
-                np.testing.assert_array_equal(
-                    extended.topk(queries, 3)[0], fresh.topk(queries, 3)[0]
-                )
-                np.testing.assert_array_equal(
-                    extended.topk(queries, 3)[1], fresh.topk(queries, 3)[1]
-                )
-                assert extended.num_bound == 120
-
-    def test_extend_validates_prefix(self, rng):
-        kernel = make_kernel("euclidean", rng.normal(size=(50, 6)))
-        with pytest.raises(DataValidationError):
-            kernel.extend(rng.normal(size=(30, 6)))  # shrunk
-        with pytest.raises(DataValidationError):
-            kernel.extend(rng.normal(size=(60, 7)))  # wrong dim

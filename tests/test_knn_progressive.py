@@ -33,6 +33,42 @@ class TestConstruction:
             evaluator.error()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+class TestNonFiniteInputs:
+    """One bad coordinate must fail loudly, never drive the error to 1.0."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_with_one_bad_value_is_rejected(self, data, dtype, bad):
+        train_x, train_y, test_x, test_y = data
+        evaluator = ProgressiveOneNN(test_x, test_y, dtype=dtype)
+        evaluator.partial_fit(train_x[:20], train_y[:20])
+        before = evaluator.error()
+        batch = train_x[20:40].astype(dtype)
+        batch[7, 2] = bad
+        with pytest.raises(DataValidationError, match="non-finite.*row 7"):
+            evaluator.partial_fit(batch, train_y[20:40])
+        # The rejected batch left no trace in the evaluator's state.
+        assert evaluator.train_seen == 20
+        assert evaluator.error() == before
+        assert len(evaluator.curve) == 1
+
+    def test_first_batch_with_nan_is_rejected(self, data, dtype):
+        train_x, train_y, test_x, test_y = data
+        evaluator = ProgressiveOneNN(test_x, test_y, dtype=dtype)
+        batch = train_x[:20].astype(dtype)
+        batch[0, 0] = np.nan
+        with pytest.raises(DataValidationError, match="batch_x"):
+            evaluator.partial_fit(batch, train_y[:20])
+        assert evaluator.train_seen == 0
+
+    def test_non_finite_test_set_is_rejected(self, data, dtype):
+        _, _, test_x, test_y = data
+        test_x = test_x.astype(dtype)
+        test_x[3, 1] = np.nan
+        with pytest.raises(DataValidationError, match="test_x.*row 3"):
+            ProgressiveOneNN(test_x, test_y, dtype=dtype)
+
+
 class TestEquivalenceWithBatch:
     def test_single_batch_matches_brute_force(self, data):
         train_x, train_y, test_x, test_y = data
