@@ -9,9 +9,6 @@ but orderings, crossovers and rough factors must hold.
 
 from __future__ import annotations
 
-import gc
-import glob
-import os
 import pathlib
 
 import pytest
@@ -75,19 +72,3 @@ def imdb_catalog(imdb):
 @pytest.fixture(scope="session")
 def cifar10_aggre():
     return load_cifar_n("cifar10_aggre", scale=BENCH_SCALE, seed=0)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_shared_memory_leaks():
-    """Fail the bench session if store segments or spill dirs leak."""
-    yield
-    gc.collect()
-    leaked_shm = (
-        [n for n in os.listdir("/dev/shm") if n.startswith("repro-")]
-        if os.path.isdir("/dev/shm")
-        else []
-    )
-    tmp_root = os.environ.get("TMPDIR", "/tmp").rstrip("/")
-    leaked_dirs = glob.glob(f"{tmp_root}/repro-store-*")
-    assert not leaked_shm, f"leaked /dev/shm segments: {leaked_shm}"
-    assert not leaked_dirs, f"leaked ephemeral spill dirs: {leaked_dirs}"

@@ -25,7 +25,6 @@ from repro.core.drift import (
 )
 from repro.core.engine import (
     ExecutionBackend,
-    ProcessBackend,
     RoundScheduler,
     SerialBackend,
     ThreadBackend,
@@ -56,7 +55,6 @@ __all__ = [
     "DriftEvent",
     "ExecutionBackend",
     "PageHinkleyDetector",
-    "ProcessBackend",
     "RoundScheduler",
     "SerialBackend",
     "SlidingWindowBER",

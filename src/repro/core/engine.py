@@ -25,23 +25,12 @@ Backends:
 ``thread``
     :class:`~concurrent.futures.ThreadPoolExecutor`; numpy releases the
     GIL inside BLAS kernels, so distance blocks and embedding matmuls of
-    different arms overlap on multi-core hosts.  Shares the
-    :class:`~repro.transforms.store.EmbeddingStore` in-process.
-``process``
-    :class:`~concurrent.futures.ProcessPoolExecutor`; arms are pickled
-    to workers, mutated there, and their state is merged back by
-    identity-preserving ``__dict__`` replacement.  When a
-    sharing-enabled :class:`~repro.transforms.store.EmbeddingStore` is
-    bound (:meth:`ExecutionBackend.bind_store` — done by
-    :class:`~repro.core.snoopy.Snoopy` before the first round), workers
-    are initialized with the store's attach handle: hot blocks are read
-    zero-copy from the parent's shared-memory segments, misses are
-    served from (and written to) the shared spill directory, and the
-    arm's training pool crosses the boundary as a
-    :class:`~repro.transforms.store.SharedArrayRef` instead of a
-    pickled payload — so a warm store means zero transform calls and
-    near-zero pickled bytes per pull.  Without a bound store, workers
-    fall back to cold config-only caches (the pre-sharing behaviour).
+    different arms overlap on multi-core hosts.  Arms are mutated in
+    place and share the :class:`~repro.transforms.store.EmbeddingStore`
+    in-process, so nothing is pickled or merged back.
+
+There is deliberately no process-pool backend: on the study benchmarks
+it ran slower than serial (README, "Why one parallelism model").
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,15 +101,6 @@ class ExecutionBackend(ABC):
     def map(self, fn: Callable, items: Iterable) -> list:
         """Apply ``fn`` to every item; results in input order."""
 
-    def bind_store(self, store) -> None:
-        """Attach an :class:`EmbeddingStore` workers should share.
-
-        A no-op for in-process backends (serial/thread share the store
-        object directly); the process backend uses it to initialize
-        workers with an attach handle.  Must be called before the first
-        :meth:`map` that should benefit (the pool is built lazily).
-        """
-
     def close(self) -> None:
         """Release worker resources (idempotent)."""
 
@@ -142,23 +122,21 @@ class SerialBackend(ExecutionBackend):
         return [fn(item) for item in items]
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared lazy-pool plumbing for the thread/process backends."""
+@register_backend("thread")
+class ThreadBackend(ExecutionBackend):
+    """Thread pool; shares memory (and the embedding store) in-process."""
 
     def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers)
         self._pool = None
 
-    def _make_pool(self):
-        raise NotImplementedError
-
     def map(self, fn: Callable, items: Iterable) -> list:
         items = list(items)
         if len(items) <= 1:
-            # No parallelism to gain; skip pool startup and pickling.
+            # No parallelism to gain; skip pool startup.
             return [fn(item) for item in items]
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return list(self._pool.map(fn, items))
 
     def close(self) -> None:
@@ -167,94 +145,15 @@ class _PoolBackend(ExecutionBackend):
             self._pool = None
 
 
-@register_backend("thread")
-class ThreadBackend(_PoolBackend):
-    """Thread pool; shares memory (and the embedding store) in-process."""
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.max_workers)
-
-
-def _init_worker_store(state: dict) -> None:
-    """Process-pool initializer: pre-attach the shared store handle.
-
-    Materializing the handle once per worker (instead of per unpickled
-    arm) gives every arm in the worker one shared attach cache and one
-    digest cache; the registry in :mod:`repro.transforms.store` then
-    dedupes each arm's unpickled store to this instance.
-    """
-    from repro.transforms.store import attach_handle
-
-    attach_handle(state)
-
-
-@register_backend("process")
-class ProcessBackend(_PoolBackend):
-    """Process pool; tasks and results cross a pickle boundary."""
-
-    def __init__(self, max_workers: int | None = None):
-        super().__init__(max_workers)
-        self._store_state = None
-
-    def bind_store(self, store) -> None:
-        if store is not None and store.can_share_arrays:
-            self._store_state = store.handle_state()
-
-    def _make_pool(self):
-        if self._store_state is not None:
-            return ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker_store,
-                initargs=(self._store_state,),
-            )
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-
 # ----------------------------------------------------------------------
 # Round scheduling over transformation arms
 # ----------------------------------------------------------------------
 
 
 def _run_arm_task(task):
-    """Top-level (picklable) task body: invoke one arm method.
-
-    Returns the arm alongside the method result so process workers ship
-    their mutated copy back for merging.
-    """
+    """Task body: invoke one arm method (arms are mutated in place)."""
     arm, method, kwargs = task
-    return arm, getattr(arm, method)(**kwargs)
-
-
-#: Arm attributes that keep the *parent's* object across a process-backend
-#: merge.  All are semantically immutable during pulls, and their identity
-#: is load-bearing: the shared store keys blocks by transform object and
-#: caches digests by pool-array object, so adopting unpickled clones would
-#: orphan warm cache entries (and leak a token per round).
-_PRESERVE_ON_MERGE = ("store", "transform", "_train_x", "_train_y")
-
-
-def _merge_arm(original, returned) -> None:
-    """Adopt a worker copy's state while preserving object identity.
-
-    Thread/serial backends mutate arms in place (``returned is
-    original``) and this is a no-op.  Process backends return pickled
-    copies; the original object adopts the copy's ``__dict__`` so every
-    existing reference (selection results, run state) stays valid, while
-    the parent-side objects named in :data:`_PRESERVE_ON_MERGE` survive
-    the swap (worker copies carry an attach handle — or a cold
-    config-only store pre-sharing — and cloned transforms/pools with
-    identical content).
-    """
-    if returned is original:
-        return
-    preserved = {
-        name: original.__dict__[name]
-        for name in _PRESERVE_ON_MERGE
-        if name in original.__dict__
-    }
-    original.__dict__.clear()
-    original.__dict__.update(returned.__dict__)
-    original.__dict__.update(preserved)
+    return getattr(arm, method)(**kwargs)
 
 
 class RoundScheduler:
@@ -262,7 +161,7 @@ class RoundScheduler:
 
     The scheduler is deliberately dumb: it never decides *what* to pull
     — allocation strategies do — only runs a batch of per-arm pull plans
-    through the configured backend and merges state back in arm order.
+    through the configured backend and returns results in arm order.
     """
 
     def __init__(self, backend: ExecutionBackend | None = None):
@@ -273,12 +172,7 @@ class RoundScheduler:
         if not arms:
             return []
         tasks = [(arm, method, kwargs) for arm in arms]
-        results = self.backend.map(_run_arm_task, tasks)
-        values = []
-        for arm, (returned, value) in zip(arms, results):
-            _merge_arm(arm, returned)
-            values.append(value)
-        return values
+        return self.backend.map(_run_arm_task, tasks)
 
     def pull_to(self, arms: Sequence, target: int, pull_size: int) -> list:
         """Pull every arm to ``target`` cumulative samples concurrently."""
@@ -318,8 +212,8 @@ def spawn_arm_streams(seed: SeedLike, count: int) -> list[np.random.Generator]:
     Nothing in the current pull path consumes randomness — results are
     deterministic outright — but any future stochastic arm step must
     draw from its own stream (never a shared generator), so an arm sees
-    identical draws whether pulls run serially, on threads, or in worker
-    processes.
+    identical draws whether pulls run serially or on threads, in any
+    completion order.
     """
     if count < 0:
         raise DataValidationError(f"count must be non-negative, got {count}")

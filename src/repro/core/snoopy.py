@@ -18,7 +18,7 @@ Given a dataset and a target accuracy, Snoopy:
 A run is a staged pipeline — **prepare → allocate → aggregate → guide**
 — over a shared :class:`RunContext`.  The allocate phase dispatches
 independent arm pulls through a :class:`repro.core.engine.RoundScheduler`
-(serial, thread or process backend; bit-identical results), and every
+(serial or thread backend; bit-identical results), and every
 embedding flows through a shared
 :class:`repro.transforms.store.EmbeddingStore`, so a second strategy run
 or a post-cleaning re-run never recomputes a transform output.
@@ -96,9 +96,10 @@ class SnoopyConfig:
         Required when ``strategy == "perfect"``: evaluate only this arm
         (the oracle lower-bound strategy of Figure 12).
     execution_backend:
-        How independent arm pulls run within a round: "serial" (default),
-        "thread" or "process".  Results are bit-identical across
-        backends; only wall-clock changes.
+        How independent arm pulls run within a round: "serial" (default)
+        or "thread" (a thread pool sharing the store in-process).
+        Results are bit-identical across backends; only wall-clock
+        changes.
     max_workers:
         Worker cap for parallel backends; ``None`` uses the cores the
         process may run on.
@@ -114,8 +115,7 @@ class SnoopyConfig:
         the hot budget stream through), and a later run — or another
         tenant — pointed at the same directory warm-starts with zero
         transform calls.  ``None`` (default) keeps the cache
-        memory-only (the ``process`` backend then uses an ephemeral
-        spill dir, removed when the store closes).
+        memory-only: nothing is written to disk.
     store_spill_bytes:
         Byte budget of the spill tier (default 1 GiB); the
         least-recently-used block files are pruned beyond it.
@@ -271,10 +271,10 @@ class Snoopy:
         self._state: _RunState | None = None
 
     def close(self) -> None:
-        """Release the owned store's shared segments/spill dir; idempotent.
+        """Release the owned store's hot tier; idempotent.
 
         Externally supplied stores are left alone — their owner decides
-        when sharing resources are released.
+        when to release them.
         """
         if self.store is not None and self._owns_store:
             self.store.close()
@@ -299,12 +299,8 @@ class Snoopy:
         try:
             self._allocate(ctx)
         finally:
-            # Exception-safe epilogue: shut down the worker pools and
-            # unpin the shared training-pool segments even when an
-            # allocation raises, so no /dev/shm bytes outlive the run.
+            # Shut the worker pool down even when an allocation raises.
             ctx.scheduler.close()
-            if self.store is not None:
-                self.store.release_shared()
         self._aggregate(ctx)
         report = self._guide(ctx)
         self._state = _RunState(
@@ -357,14 +353,8 @@ class Snoopy:
         ctx.metric = self._resolve_metric(dataset)
         rng = ensure_rng(config.seed)
         ctx.order = rng.permutation(dataset.num_train)
-        if config.execution_backend == "process" and self.store is not None:
-            # Workers must attach hot blocks by name and share a spill
-            # dir; enabling before arms are built lets even the test-set
-            # embeddings land in shared segments.
-            self.store.enable_sharing()
         ctx.arms = self._build_arms(dataset, ctx.order, ctx.metric)
         backend = make_backend(config.execution_backend, config.max_workers)
-        backend.bind_store(self.store)
         ctx.scheduler = RoundScheduler(backend)
         return ctx
 

@@ -1,19 +1,15 @@
 """Execution-engine tests: backends, scheduler, and cross-backend parity.
 
 The headline guarantee of the staged execution engine is that the
-``serial``, ``thread`` and ``process`` backends produce *bit-identical*
-feasibility reports — same winner, same losses, same curves — across
-allocation strategies and seeds.  These tests pin that contract.
+``serial`` and ``thread`` backends produce *bit-identical* feasibility
+reports — same winner, same losses, same curves — across allocation
+strategies and seeds.  These tests pin that contract.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.engine import (
-    ProcessBackend,
-    RoundScheduler,
     SerialBackend,
     ThreadBackend,
     backend_names,
@@ -31,24 +27,26 @@ def _square(x):
 
 class TestBackends:
     def test_registry(self):
-        assert backend_names() == ("process", "serial", "thread")
+        assert backend_names() == ("serial", "thread")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(DataValidationError):
             make_backend("quantum")
+        with pytest.raises(DataValidationError, match="process"):
+            make_backend("process")
 
     def test_invalid_max_workers_raises(self):
         with pytest.raises(DataValidationError):
             SerialBackend(max_workers=0)
 
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ["serial", "thread"])
     def test_map_preserves_order(self, name):
         with make_backend(name, max_workers=2) as backend:
             assert backend.map(_square, range(7)) == [
                 0, 1, 4, 9, 16, 25, 36
             ]
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
+    @pytest.mark.parametrize("name", ["thread"])
     def test_single_item_skips_pool(self, name):
         backend = make_backend(name, max_workers=2)
         assert backend.map(_square, [3]) == [9]
@@ -117,7 +115,7 @@ def _run(catalog, dataset, strategy, backend, seed=0):
 
 
 class TestBackendParity:
-    """serial vs thread vs process must be bit-identical."""
+    """serial vs thread must be bit-identical."""
 
     @pytest.mark.parametrize(
         "strategy",
@@ -128,13 +126,6 @@ class TestBackendParity:
         thr_report, thr_losses = _run(catalog, dataset, strategy, "thread")
         assert thr_report == ref_report
         assert thr_losses == ref_losses
-
-    @pytest.mark.parametrize("strategy", ["successive_halving_tangent", "uniform"])
-    def test_process_matches_serial(self, dataset, catalog, strategy):
-        ref_report, ref_losses = _run(catalog, dataset, strategy, "serial")
-        proc_report, proc_losses = _run(catalog, dataset, strategy, "process")
-        assert proc_report == ref_report
-        assert proc_losses == ref_losses
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_parity_across_seeds(self, dataset, catalog, seed):
@@ -199,65 +190,12 @@ class TestWarmStore:
         assert _report_fingerprint(warm) == _report_fingerprint(cold)
 
 
-class TestSchedulerMerge:
-    def test_process_roundtrip_preserves_store_identity(self, dataset, catalog):
-        """Worker copies come back cold; the parent's store must survive."""
-        from repro.bandit.arms import build_arms
-
-        store = EmbeddingStore()
-        arms = build_arms(list(catalog)[:2], dataset, rng=0, store=store)
-        scheduler = RoundScheduler(ProcessBackend(max_workers=2))
-        try:
-            scheduler.pull_to(arms, 64, 32)
-        finally:
-            scheduler.close()
-        for arm in arms:
-            assert arm.store is store
-            assert arm.samples_used >= 64
-
-    def test_process_roundtrip_preserves_transform_and_pool_identity(
-        self, dataset, catalog
-    ):
-        """Merges must not swap in unpickled clones of identity-keyed
-        objects: the store tokens blocks by transform object and caches
-        digests by pool array, so clones would orphan warm entries."""
-        from repro.bandit.arms import build_arms
-
-        store = EmbeddingStore()
-        arms = build_arms(list(catalog)[:2], dataset, rng=0, store=store)
-        transforms = [arm.transform for arm in arms]
-        pools = [(arm._train_x, arm._train_y) for arm in arms]
-        scheduler = RoundScheduler(ProcessBackend(max_workers=2))
-        try:
-            scheduler.pull_to(arms, 64, 32)
-        finally:
-            scheduler.close()
-        for arm, transform, (train_x, train_y) in zip(arms, transforms, pools):
-            assert arm.transform is transform
-            assert arm._train_x is train_x
-            assert arm._train_y is train_y
-        # A parent-side pull after the merge keys the shared store under
-        # the original tokens (no duplicate token per round).
-        for arm in arms:
-            arm.pull(32)
-        assert len(store._tokens) == 2
-
-    def test_arm_pickles_with_cold_store(self, dataset, catalog):
-        from repro.bandit.arms import build_arms
-
-        store = EmbeddingStore()
-        arms = build_arms(list(catalog)[:1], dataset, rng=0, store=store)
-        arms[0].pull(50)
-        clone = pickle.loads(pickle.dumps(arms[0]))
-        assert len(clone.store) == 0
-        assert clone.samples_used == arms[0].samples_used
-        assert clone.pull(25) == pytest.approx(arms[0].pull(25))
-
-
 class TestConfigValidation:
     def test_unknown_execution_backend_raises(self):
         with pytest.raises(DataValidationError):
             SnoopyConfig(execution_backend="gpu")
+        with pytest.raises(DataValidationError):
+            SnoopyConfig(execution_backend="process")
 
     def test_invalid_max_workers_raises(self):
         with pytest.raises(DataValidationError):

@@ -1,7 +1,7 @@
 """Unit tests for the shared EmbeddingStore."""
 
 import gc
-import pickle
+import os
 import threading
 
 import numpy as np
@@ -232,15 +232,55 @@ class TestOutputSafety:
         with pytest.raises(ValueError):
             out[0, 0] = 42.0
 
-    def test_pickle_ships_config_only(self, data, transform):
-        store = EmbeddingStore(max_bytes=12345678, block_rows=64)
-        store.embed(transform, data)
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.max_bytes == 12345678
-        assert clone.block_rows == 64
-        assert len(clone) == 0
-        # The original is untouched.
-        assert len(store) == 5
+
+class NaNOnceTransform(IdentityTransform):
+    """Identity transform whose ``bad_call``-th call has a NaN in row 70."""
+
+    def __init__(self, dim, name="nan_once", bad_call=1):
+        super().__init__(dim)
+        self.name = name
+        self.bad_call = bad_call
+        self.calls = 0
+
+    def transform(self, x):
+        self.calls += 1
+        out = np.array(super().transform(x), dtype=np.float64)
+        if self.calls == self.bad_call:
+            out[70, 2] = np.nan
+        return out
+
+
+class TestNonFiniteBlocks:
+    """A non-finite embedding is rejected before it reaches either tier."""
+
+    def test_nan_block_is_never_cached(self, data, tmp_path):
+        transform = NaNOnceTransform(6).fit(data)
+        store = EmbeddingStore(block_rows=64, store_dir=tmp_path)
+        with pytest.raises(DataValidationError) as excinfo:
+            store.embed(transform, data)
+        message = str(excinfo.value)
+        assert "nan_once" in message
+        assert "row 70" in message
+        assert len(store) == 0
+        assert store.stats.current_bytes == 0
+        # Nothing on disk either, so no fresh store can replay the NaN.
+        assert os.listdir(tmp_path) == []
+        # The next request recomputes instead of replaying the NaN.
+        out = store.embed(transform, data)
+        assert transform.calls == 2
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, data)
+
+    def test_bad_later_run_discards_earlier_runs(self, data):
+        transform = NaNOnceTransform(6, bad_call=3).fit(data)
+        store = EmbeddingStore(block_rows=64)
+        store.embed_rows(transform, data, 64, 128)  # block 1 hot
+        # Blocks 0 and 2-4 are missing: two runs, the second one bad.
+        with pytest.raises(DataValidationError, match="source row 198"):
+            store.embed(transform, data)
+        assert len(store) == 1
+        out = store.embed(transform, data)
+        np.testing.assert_array_equal(out, data)
 
 
 class TestThreadSafety:
