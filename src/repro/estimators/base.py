@@ -74,6 +74,13 @@ class BayesErrorEstimator(ABC):
             raise DataValidationError("train and test sets must be non-empty")
         if num_classes < 2:
             raise DataValidationError("num_classes must be >= 2")
+        for name, labels in (("train_y", train_y), ("test_y", test_y)):
+            bad = (labels < 0) | (labels >= num_classes)
+            if bad.any():
+                raise DataValidationError(
+                    f"{name} holds label {labels[bad][0]} outside "
+                    f"[0, {num_classes}) for num_classes={num_classes}"
+                )
         return train_x, train_y, test_x, test_y
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

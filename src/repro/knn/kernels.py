@@ -3,7 +3,7 @@
 Every exact distance evaluation in the library ultimately reduces to one
 of two shapes: *stream* (a fixed query set compared against batch after
 batch of corpus rows — the progressive 1NN evaluator) or *search* (a
-fixed corpus probed by changing query sets — the kNN indexes).  In both
+fixed corpus probed by changing query sets — the kNN index).  In both
 shapes one side of the computation is bound for thousands of calls while
 the other side changes, yet the historical code paths recomputed the
 bound side's squared norms (euclidean) or row normalization (cosine)
@@ -78,6 +78,18 @@ def iter_blocks(total: int, block_size: int) -> Iterator[slice]:
         raise DataValidationError(f"block_size must be positive, got {block_size}")
     for start in range(0, total, block_size):
         yield slice(start, min(start + block_size, total))
+
+
+def require_finite(x: np.ndarray, name: str) -> None:
+    """Raise if ``x`` holds a NaN or infinite value (names the row)."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[0])
+        raise DataValidationError(
+            f"{name} contains non-finite values (first at row {row}); "
+            "a NaN or inf embedding would silently corrupt the "
+            "nearest-neighbor error"
+        )
 
 
 class DistanceKernel(ABC):
@@ -165,21 +177,6 @@ class DistanceKernel(ABC):
     # ------------------------------------------------------------------
     # Fused blocked primitives
     # ------------------------------------------------------------------
-
-    def comparable_from(self, queries: np.ndarray, state=None) -> np.ndarray:
-        """Full comparable matrix ``(len(queries), num_bound)``.
-
-        For small bound sets only (e.g. a centroid table whose full
-        ordering is needed); the blocked primitives below are the
-        memory-bounded paths.  ``state`` optionally supplies the
-        query-side per-row state (as produced by this kernel for the
-        same rows) so a caller that already holds it skips the
-        recomputation.
-        """
-        queries = self._cast_other(queries)
-        if state is None:
-            state = self._state(queries)
-        return self._cross(queries, state, self._bound, self._bound_state)
 
     def nearest_among(
         self, other: np.ndarray, block_size: int = 2048

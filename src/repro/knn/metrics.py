@@ -1,20 +1,12 @@
-"""Pairwise distance computations used by the kNN substrate.
+"""Float64 reference distance matrices (euclidean and cosine).
 
-The functions here are exact (no approximate nearest-neighbor search) but
-block the computation so that a large query-by-corpus distance matrix is
-never materialized at once.  Both metrics used in the paper (euclidean
-and cosine dissimilarity) are provided behind one dispatch function.
-
-The dense matrix functions (:func:`euclidean_distances`,
-:func:`cosine_distances`, :func:`pairwise_distances`) are the strict
-``float64`` reference implementations.  The fused search entry points
-(:func:`blocked_topk`, :func:`blocked_argmin_distance`) are thin
-wrappers over :mod:`repro.knn.kernels`: they accept a ``dtype`` to run
-the arithmetic in single precision, and default to ``float64`` so their
-historical results are unchanged.  Callers that reuse one query or
-corpus set across many calls should hold a
-:class:`repro.knn.kernels.DistanceKernel` directly — these wrappers
-rebuild the bound-side norm cache on every call.
+:func:`euclidean_distances`, :func:`cosine_distances` and the
+:func:`pairwise_distances` dispatcher materialize a full dense matrix in
+strict ``float64``.  They are the reference the blocked, dtype-aware
+search in :mod:`repro.knn.kernels` is checked against, and serve the
+few callers that need a whole small matrix.  Searches that scan a large
+corpus go through a :class:`repro.knn.kernels.DistanceKernel`, which
+never materializes the full matrix.
 """
 
 from __future__ import annotations
@@ -22,12 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.kernels import iter_blocks, make_kernel
+from repro.knn.kernels import iter_blocks
 
 __all__ = [
     "VALID_METRICS",
-    "blocked_argmin_distance",
-    "blocked_topk",
     "cosine_distances",
     "euclidean_distances",
     "iter_blocks",
@@ -100,50 +90,3 @@ def pairwise_distances(
         ) from None
     return func(a, b)
 
-
-def blocked_topk(
-    queries: np.ndarray,
-    corpus: np.ndarray,
-    k: int,
-    metric: str = "euclidean",
-    block_size: int = 2048,
-    exclude_self: bool = False,
-    dtype=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k search, blocked over query rows; returns ``(dist, idx)``.
-
-    The query-by-corpus comparable-distance matrix is materialized
-    ``block_size`` query rows at a time, top-k selected with
-    ``argpartition`` and the k winners sorted and converted to true
-    distances.  With ``exclude_self=True`` the queries must BE the
-    corpus (same rows, same order): query ``i``'s match against corpus
-    column ``i`` is masked out (leave-one-out mode).  Passing a
-    different query set in that mode would mask arbitrary columns, so
-    the caller is expected to validate ``len(queries) == len(corpus)``.
-    ``dtype`` selects the compute precision (``None`` = ``float64``).
-    """
-    return make_kernel(metric, corpus, dtype=dtype).topk(
-        queries, k, block_size=block_size, exclude_self=exclude_self
-    )
-
-
-def blocked_argmin_distance(
-    queries: np.ndarray,
-    corpus: np.ndarray,
-    metric: str = "euclidean",
-    block_size: int = 1024,
-    dtype=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest corpus index and distance for each query, block by block.
-
-    Returns ``(indices, distances)`` with one entry per query row.  The
-    corpus is scanned in blocks of ``block_size`` rows so memory stays
-    bounded by ``len(queries) * block_size`` values.  ``dtype`` selects
-    the compute precision (``None`` = ``float64``).
-    """
-    corpus = np.asarray(corpus)
-    if len(corpus) == 0:
-        raise DataValidationError("corpus must contain at least one point")
-    kernel = make_kernel(metric, queries, dtype=dtype)
-    best_idx, best_cmp = kernel.nearest_among(corpus, block_size=block_size)
-    return best_idx, kernel.to_distance(best_cmp)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.kernels import make_kernel
+from repro.knn.kernels import make_kernel, require_finite
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ProgressiveOneNN:
             )
         if len(test_x) == 0:
             raise DataValidationError("test set must not be empty")
-        _require_finite(test_x, "test_x")
+        require_finite(test_x, "test_x")
         self.metric = metric
         self.record_curve = record_curve
         self.dtype = dtype
@@ -149,7 +149,7 @@ class ProgressiveOneNN:
                 f"{len(batch_x)} vs {len(batch_y)}"
             )
         if len(batch_x) > 0:
-            _require_finite(batch_x, "batch_x")
+            require_finite(batch_x, "batch_x")
             local, local_cmp = self._kernel.nearest_among(batch_x)
             improved = local_cmp < self._nn_cmp
             self._nn_cmp[improved] = local_cmp[improved]
@@ -213,14 +213,3 @@ class ProgressiveOneNN:
         sizes = np.array([p.train_size for p in self.curve], dtype=np.int64)
         errors = np.array([p.error for p in self.curve])
         return sizes, errors
-
-
-def _require_finite(x: np.ndarray, name: str) -> None:
-    """Raise if ``x`` holds a NaN or infinite value (names the row)."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[0])
-        raise DataValidationError(
-            f"{name} contains non-finite values (first at row {row}); "
-            "a NaN or inf embedding would silently corrupt the 1NN error"
-        )

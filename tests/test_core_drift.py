@@ -53,6 +53,20 @@ class TestSlidingWindow:
         with pytest.raises(DataValidationError):
             window.observe(raw, labels + 100)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("row", [3, 100])
+    def test_nan_row_rejected_at_estimate(self, task, rng, dtype, row):
+        # Row 3 lands in the window's training split, row 100 in its
+        # evaluation split.
+        window = SlidingWindowBER(
+            task.num_classes, window_size=128, compute_dtype=dtype
+        )
+        raw, labels = _stream(task, 128, rng)
+        raw[row, 0] = np.nan
+        window.observe(raw, labels)
+        with pytest.raises(DataValidationError, match="non-finite"):
+            window.estimate()
+
     def test_single_sample_observe(self, task, rng):
         window = SlidingWindowBER(task.num_classes)
         raw, labels = _stream(task, 1, rng)

@@ -14,6 +14,7 @@ from repro.estimators import (
     get_estimator,
 )
 from repro.estimators.base import BEREstimate, register_estimator
+from repro.estimators.cover_hart import OneNNEstimator
 from repro.estimators.ghp import friedman_rafsky_cross_edges, pairwise_ber_bounds
 from repro.exceptions import DataValidationError, EstimatorError
 
@@ -100,6 +101,43 @@ class TestDeKNN:
         y_test = rng.integers(0, 2, 200)
         estimate = DeKNNEstimator(k=30).estimate(x_train, y_train, x_test, y_test, 2)
         assert estimate.value == pytest.approx(0.5, abs=0.1)
+
+
+@pytest.fixture()
+def gaussian_split(rng):
+    """Two overlapping gaussian classes, 200 train / 100 test rows."""
+    y_train = rng.integers(0, 2, 200)
+    y_test = rng.integers(0, 2, 100)
+    x_train = y_train[:, None] * 1.5 + rng.normal(size=(200, 4))
+    x_test = y_test[:, None] * 1.5 + rng.normal(size=(100, 4))
+    return x_train, y_train, x_test, y_test
+
+
+class TestHostileInputs:
+    """Bad features or labels raise instead of bending the estimate."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("factory", [OneNNEstimator, KNNLooEstimator])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_nan_row_rejected(self, gaussian_split, factory, dtype, split):
+        x_train, y_train, x_test, y_test = (a.copy() for a in gaussian_split)
+        (x_train if split == "train" else x_test)[17, 2] = np.nan
+        # kNN-LOO pools train then test rows into one corpus.
+        pooled = factory is KNNLooEstimator and split == "test"
+        row = 17 + len(x_train) if pooled else 17
+        with pytest.raises(DataValidationError, match=f"non-finite.*row {row}"):
+            factory(dtype=dtype).estimate(x_train, y_train, x_test, y_test, 2)
+
+    @pytest.mark.parametrize("factory", [OneNNEstimator, DeKNNEstimator])
+    @pytest.mark.parametrize("split", ["train_y", "test_y"])
+    @pytest.mark.parametrize("bad_label", [2, -1])
+    def test_label_outside_num_classes_rejected(
+        self, gaussian_split, factory, split, bad_label
+    ):
+        x_train, y_train, x_test, y_test = (a.copy() for a in gaussian_split)
+        (y_train if split == "train_y" else y_test)[5] = bad_label
+        with pytest.raises(DataValidationError, match=f"{split}.*{bad_label}"):
+            factory().estimate(x_train, y_train, x_test, y_test, 2)
 
 
 class TestKDE:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataValidationError
-from repro.knn.brute_force import BruteForceKNN, _majority_vote
+from repro.knn.brute_force import BruteForceKNN, majority_vote
 from repro.knn.metrics import euclidean_distances
 
 
@@ -111,19 +111,82 @@ class TestPredictAndError:
         assert index.loo_error(k=3) == 0.0
 
 
+    def test_surface_on_foreign_queries(self, rng):
+        x = rng.normal(size=(40, 4))
+        y = rng.integers(0, 3, 40)
+        queries = rng.normal(size=(10, 4))
+        labels = rng.integers(0, 3, 10)
+        index = BruteForceKNN().fit(x, y)
+        assert index.num_fitted == 40
+        dist, idx = index.kneighbors(queries, k=3)
+        assert dist.shape == idx.shape == (10, 3)
+        assert index.predict(queries, k=3).shape == (10,)
+        assert 0.0 <= index.error(queries, labels, k=3) <= 1.0
+        assert 0.0 <= index.loo_error(k=3) <= 1.0
+
+
+class TestNonFinite:
+    """A NaN or inf row fails loudly instead of bending the error."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_corpus_row_rejected_at_fit(self, rng, dtype, bad):
+        x = rng.normal(size=(30, 4))
+        x[11, 2] = bad
+        index = BruteForceKNN(dtype=dtype)
+        with pytest.raises(DataValidationError, match="corpus.*non-finite.*row 11"):
+            index.fit(x, rng.integers(0, 2, 30))
+        assert index.num_fitted == 0
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_query_row_rejected(self, rng, dtype):
+        index = BruteForceKNN(dtype=dtype).fit(
+            rng.normal(size=(30, 4)), rng.integers(0, 2, 30)
+        )
+        queries = rng.normal(size=(6, 4))
+        queries[4, 0] = -np.inf
+        with pytest.raises(DataValidationError, match="queries.*row 4"):
+            index.kneighbors(queries)
+        with pytest.raises(DataValidationError, match="queries.*row 4"):
+            index.error(queries, np.zeros(6, dtype=int))
+
+
+def _reference_vote(neighbor_labels):
+    """The historical per-row scan, kept as the semantic oracle."""
+    n, k = neighbor_labels.shape
+    predictions = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        values, counts = np.unique(neighbor_labels[i], return_counts=True)
+        tied = set(values[counts == counts.max()].tolist())
+        for label in neighbor_labels[i]:
+            if label in tied:
+                predictions[i] = label
+                break
+    return predictions
+
+
 class TestMajorityVote:
     def test_k1_returns_first(self):
         labels = np.array([[2], [0], [1]])
-        dist = np.zeros((3, 1))
-        np.testing.assert_array_equal(_majority_vote(labels, dist), [2, 0, 1])
+        np.testing.assert_array_equal(majority_vote(labels), [2, 0, 1])
+
+    def test_k1_copies(self):
+        labels = np.array([[2], [0]])
+        out = majority_vote(labels)
+        np.testing.assert_array_equal(out, [2, 0])
+        assert not np.shares_memory(out, labels)
 
     def test_clear_majority(self):
-        labels = np.array([[1, 1, 0]])
-        dist = np.array([[0.1, 0.2, 0.3]])
-        assert _majority_vote(labels, dist)[0] == 1
+        assert majority_vote(np.array([[1, 1, 0]]))[0] == 1
 
     def test_tie_broken_by_nearest(self):
-        labels = np.array([[2, 0, 2, 0]])
-        dist = np.array([[0.1, 0.2, 0.3, 0.4]])
         # 2 and 0 both appear twice; 2 is nearest.
-        assert _majority_vote(labels, dist)[0] == 2
+        assert majority_vote(np.array([[2, 0, 2, 0]]))[0] == 2
+
+    def test_matches_reference_under_heavy_ties(self, rng):
+        # Few classes + even k maximizes tie pressure on the fast path.
+        for k in (2, 3, 4, 6):
+            labels = rng.integers(0, 3, size=(500, k))
+            np.testing.assert_array_equal(
+                majority_vote(labels), _reference_vote(labels)
+            )

@@ -7,8 +7,8 @@ Three layers:
 - a float64 regression suite proving the bound-kernel paths agree with
   the legacy recompute-everything paths bit-for-bit;
 - a hypothesis parity suite asserting the float32 compute path matches
-  float64 within tolerance (errors, top-k indices modulo ties) across
-  every backend and the progressive evaluator.
+  float64 within tolerance (errors, top-k indices modulo ties) for the
+  brute-force index and the progressive evaluator.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 from repro.knn.kernels import (
     DEFAULT_COMPUTE_DTYPE,
     CosineKernel,
@@ -25,15 +25,8 @@ from repro.knn.kernels import (
     make_kernel,
     resolve_dtype,
 )
-from repro.knn.metrics import (
-    blocked_argmin_distance,
-    blocked_topk,
-    cosine_distances,
-    pairwise_distances,
-)
+from repro.knn.metrics import cosine_distances, pairwise_distances
 from repro.knn.progressive import ProgressiveOneNN
-
-BACKENDS = ("brute_force", "ivf", "incremental")
 
 #: Tolerances for float32-vs-float64 agreement on O(1)-scale gaussians.
 F32_RTOL, F32_ATOL = 1e-4, 1e-5
@@ -55,10 +48,9 @@ class TestResolveDtype:
     def test_default_is_float32(self):
         assert resolve_dtype(DEFAULT_COMPUTE_DTYPE) == np.dtype(np.float32)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_indexes_fail_fast_on_bad_dtype(self, backend):
+    def test_index_fails_fast_on_bad_dtype(self):
         with pytest.raises(DataValidationError, match="compute dtype"):
-            make_index(backend, dtype="float16")
+            BruteForceKNN(dtype="float16")
 
 
 class TestKernelConstruction:
@@ -129,8 +121,8 @@ class TestFusedPrimitives:
         np.testing.assert_allclose(dist[1], 1.0)
 
 
-def _legacy_blocked_topk(queries, corpus, k, metric, block_size, exclude_self):
-    """The historical blocked_topk, verbatim: full sqrt'd distance blocks."""
+def _legacy_topk(queries, corpus, k, metric, block_size, exclude_self):
+    """The historical blocked top-k, verbatim: full sqrt'd distance blocks."""
     from repro.knn.metrics import iter_blocks
 
     queries = np.asarray(queries, dtype=np.float64)
@@ -184,15 +176,14 @@ class TestFloat64LegacyParity:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("exclude_self", [False, True])
-    def test_blocked_topk_bit_for_bit(self, rng, metric, exclude_self):
+    def test_topk_bit_for_bit(self, rng, metric, exclude_self):
         x = rng.normal(size=(90, 6))
         queries = x if exclude_self else rng.normal(size=(40, 6))
-        legacy_dist, legacy_idx = _legacy_blocked_topk(
+        legacy_dist, legacy_idx = _legacy_topk(
             queries, x, 4, metric, 17, exclude_self
         )
-        dist, idx = blocked_topk(
-            queries, x, 4, metric=metric, block_size=17,
-            exclude_self=exclude_self,
+        dist, idx = make_kernel(metric, x, dtype=None).topk(
+            queries, 4, block_size=17, exclude_self=exclude_self
         )
         np.testing.assert_array_equal(idx, legacy_idx)
         np.testing.assert_array_equal(dist, legacy_dist)
@@ -215,10 +206,11 @@ class TestFloat64LegacyParity:
     def test_blocked_argmin_take_along_axis_path(self, rng):
         queries = rng.normal(size=(30, 5))
         corpus = rng.normal(size=(100, 5))
-        idx, dist = blocked_argmin_distance(queries, corpus, block_size=7)
+        kernel = make_kernel("euclidean", queries, dtype=None)
+        idx, cmp = kernel.nearest_among(corpus, block_size=7)
         dense = pairwise_distances(queries, corpus)
         np.testing.assert_array_equal(idx, np.argmin(dense, axis=1))
-        np.testing.assert_array_equal(dist, dense.min(axis=1))
+        np.testing.assert_array_equal(kernel.to_distance(cmp), dense.min(axis=1))
 
 
 def _sq_tolerance(*row_sets) -> float:
@@ -264,17 +256,15 @@ class TestFloat32Parity:
         n=st.integers(min_value=12, max_value=120),
         dim=st.integers(min_value=1, max_value=10),
         k=st.integers(min_value=1, max_value=6),
-        backend=st.sampled_from(BACKENDS),
     )
     @settings(max_examples=40, deadline=None)
-    def test_backends_match_across_dtypes(self, seed, n, dim, k, backend):
+    def test_brute_force_matches_across_dtypes(self, seed, n, dim, k):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, dim))
         y = rng.integers(0, 3, n)
         queries = rng.normal(size=(9, dim))
-        kwargs = {"nlist": 4, "seed": 0} if backend == "ivf" else {}
-        strict = make_index(backend, dtype=None, **kwargs).fit(x, y)
-        fast = make_index(backend, dtype="float32", **kwargs).fit(x, y)
+        strict = BruteForceKNN(dtype=None).fit(x, y)
+        fast = BruteForceKNN(dtype="float32").fit(x, y)
         dist64, idx64 = strict.kneighbors(queries, k=k)
         dist32, idx32 = fast.kneighbors(queries, k=k)
         assert dist32.dtype == np.float64  # outputs stay dtype-stable
@@ -310,8 +300,8 @@ class TestFloat32Parity:
     def test_loo_error_matches_across_dtypes(self, rng):
         x = rng.normal(size=(80, 6))
         y = rng.integers(0, 3, 80)
-        strict = make_index("brute_force", dtype=None).fit(x, y)
-        fast = make_index("brute_force", dtype="float32").fit(x, y)
+        strict = BruteForceKNN(dtype=None).fit(x, y)
+        fast = BruteForceKNN(dtype="float32").fit(x, y)
         assert strict.loo_error(k=3) == fast.loo_error(k=3)
 
     def test_cosine_float32_matches_reference(self, rng):
@@ -331,7 +321,7 @@ class TestKernelCaching:
     """The bound-side cache must be rebuilt whenever the corpus changes."""
 
     def test_brute_force_refit_invalidates_kernel(self, rng):
-        index = make_index("brute_force")
+        index = BruteForceKNN()
         index.fit(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
         first = index.kneighbors(rng.normal(size=(4, 3)), k=2)
         x2 = rng.normal(size=(30, 3))
@@ -341,23 +331,8 @@ class TestKernelCaching:
         np.testing.assert_array_equal(idx[:, 0], np.arange(4))
         del first
 
-    def test_incremental_append_invalidates_kernel(self, rng):
-        x = rng.normal(size=(25, 4))
-        y = rng.integers(0, 2, 25)
-        index = make_index("incremental").fit(x[:10], y[:10])
-        index.kneighbors(x[:3], k=1)  # builds the kernel cache
-        index.partial_fit(x[10:], y[10:])
-        reference = make_index("brute_force").fit(x, y)
-        d1, i1 = index.kneighbors(x, k=3)
-        d2, i2 = reference.kneighbors(x, k=3)
-        np.testing.assert_array_equal(i1, i2)
-        # Not assert_array_equal: the two corpora are separate
-        # allocations and BLAS results may differ in the last ulp
-        # depending on buffer alignment.
-        np.testing.assert_allclose(d1, d2, rtol=1e-12, atol=1e-12)
-
     def test_search_reuses_cached_kernel(self, rng):
-        index = make_index("brute_force").fit(
+        index = BruteForceKNN().fit(
             rng.normal(size=(20, 3)), rng.integers(0, 2, 20)
         )
         index.kneighbors(rng.normal(size=(2, 3)))

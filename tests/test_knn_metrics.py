@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from repro.exceptions import DataValidationError
+from repro.knn.kernels import make_kernel
 from repro.knn.metrics import (
-    blocked_argmin_distance,
     cosine_distances,
     euclidean_distances,
     iter_blocks,
@@ -109,11 +109,16 @@ class TestBlocks:
     def test_blocked_argmin_matches_dense(self, rng):
         queries = rng.normal(size=(30, 5))
         corpus = rng.normal(size=(100, 5))
-        idx, dist = blocked_argmin_distance(queries, corpus, block_size=7)
+        kernel = make_kernel("euclidean", queries, dtype=None)
+        idx, cmp = kernel.nearest_among(corpus, block_size=7)
         dense = euclidean_distances(queries, corpus)
         np.testing.assert_array_equal(idx, np.argmin(dense, axis=1))
-        np.testing.assert_allclose(dist, dense.min(axis=1), atol=1e-10)
+        np.testing.assert_allclose(
+            kernel.to_distance(cmp), dense.min(axis=1), atol=1e-10
+        )
 
     def test_blocked_argmin_empty_corpus_raises(self, rng):
         with pytest.raises(DataValidationError):
-            blocked_argmin_distance(rng.normal(size=(3, 2)), np.zeros((0, 2)))
+            make_kernel("euclidean", rng.normal(size=(3, 2))).nearest_among(
+                np.zeros((0, 2))
+            )
